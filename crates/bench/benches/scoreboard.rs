@@ -284,7 +284,7 @@ fn main() {
             }
         };
         // Gate every wheel fig5 row, so a QUIC-only hot-path regression
-        // (a recovery-path allocation, a lost batching win) fails CI even
+        // (a recovery-path allocation, a lost front-cache win) fails CI even
         // when the TCP number is healthy.
         let mut failed = false;
         for (key, label, eps) in [

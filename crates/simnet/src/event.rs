@@ -81,14 +81,19 @@ pub trait Scheduler: Default {
     fn schedule(&mut self, time: SimTime, kind: EventKind);
 
     /// Consumes and returns the next sequence number without scheduling
-    /// anything. A logical event held outside the scheduler (the
-    /// simulator's per-link delivery FIFOs) still claims its tie-break seq
-    /// at "schedule" time, so the global `(time, seq)` order is identical
-    /// to the order an unbatched scheduler would have produced.
+    /// anything, so an event held outside the scheduler keeps its
+    /// tie-break position in the global `(time, seq)` order.
+    ///
+    /// The simulator does not call this: every delivery is one
+    /// [`Scheduler::schedule`]. It stays, with [`Scheduler::schedule_reserved`]
+    /// and [`Scheduler::peek_key`], because the benchmark package's
+    /// counting wrapper (`perfbench`, `sched::Traced`) implements all
+    /// three; they go when that wrapper drops them.
     fn reserve_seq(&mut self) -> u64;
 
     /// Schedules `kind` at `time` under a seq from [`Scheduler::reserve_seq`]
-    /// instead of assigning a fresh one.
+    /// instead of assigning a fresh one. Not called by the simulator; kept
+    /// for the reason given on [`Scheduler::reserve_seq`].
     fn schedule_reserved(&mut self, time: SimTime, seq: u64, kind: EventKind);
 
     /// Removes and returns the earliest event.
@@ -110,9 +115,8 @@ pub trait Scheduler: Default {
     /// implementations (the timing wheel) advance internal state to find it.
     fn peek_time(&mut self) -> Option<SimTime>;
 
-    /// `(time, seq)` key of the earliest pending event. The coalescing
-    /// fast path compares this against deferred deliveries to decide
-    /// whether one can run inline without perturbing pop order.
+    /// `(time, seq)` key of the earliest pending event. Not called by the
+    /// simulator; kept for the reason given on [`Scheduler::reserve_seq`].
     fn peek_key(&mut self) -> Option<(SimTime, u64)>;
 
     /// Number of pending events.

@@ -16,13 +16,15 @@
 use incast_bursts::core_api::cache::CacheValue;
 use incast_bursts::core_api::modes::{run_incast_with, MitigationKind, ModesConfig, TopologySpec};
 use incast_bursts::simnet::{
-    build_clos_with, build_fabric_with, ClosConfig, EventQueue, FabricConfig, Scheduler, Shared,
-    SimTime, TextTracer, TimingWheel,
+    build_clos_with, build_fabric_with, ClosConfig, EventQueue, FabricConfig, Scheduler, SimTime,
+    TextTracer, TimingWheel,
 };
 use incast_bursts::stats::Rng;
-use incast_bursts::telemetry::JsonlSink;
+use incast_bursts::telemetry::{JsonlSink, SinkRef};
 use incast_bursts::transport::{TcpConfig, TcpHost};
 use incast_bursts::workload::{CyclicCoordinator, IncastConfig, Worker};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// One instrumented incast run under scheduler `S`: JSONL stream, the
 /// deterministic manifest with the scheduler name masked (the one field
@@ -125,11 +127,10 @@ fn drive_fabric<S: Scheduler>(
             ))),
         )),
     );
-    let tracer = Shared::new(TextTracer::new(2_000_000));
-    let handle = tracer.handle();
-    sim.set_tracer(Box::new(tracer));
+    let tracer = Rc::new(RefCell::new(TextTracer::new(2_000_000)));
+    sim.set_sink(SinkRef::from_rc(tracer.clone()));
     sim.run_until(SimTime::from_ms(10));
-    let trace = handle.borrow().render();
+    let trace = tracer.borrow().render();
     (trace, sim.counters().to_json(), sim.now().as_ps())
 }
 

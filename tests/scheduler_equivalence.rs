@@ -4,17 +4,20 @@
 //! is compared byte-for-byte — the JSONL telemetry stream, the run
 //! manifest (modulo the scheduler's own name), burst completion times,
 //! and, at the raw simnet layer, the full packet trace and counters of
-//! seeded random topologies.
+//! seeded random topologies. Those traces also hold both schedulers to
+//! per-link FIFO delivery on lossless links.
 
 use incast_bursts::core_api::modes::{run_incast_with, MitigationKind, ModesConfig, TopologySpec};
 use incast_bursts::simnet::{
-    build_fabric_with, EventQueue, FabricConfig, Scheduler, Shared, SimTime, TextTracer,
-    TimingWheel,
+    build_fabric_with, EventQueue, FabricConfig, Scheduler, SimTime, TextTracer, TimingWheel,
 };
 use incast_bursts::stats::Rng;
-use incast_bursts::telemetry::{JsonlSink, PerfettoSink};
+use incast_bursts::telemetry::{JsonlSink, PerfettoSink, SinkRef};
 use incast_bursts::transport::{TcpConfig, TcpHost, TransportKind};
 use incast_bursts::workload::{CyclicCoordinator, IncastConfig, Worker};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// One instrumented incast run under scheduler `S`: the JSONL stream, the
 /// deterministic manifest JSON with the scheduler name masked out (it is
@@ -321,8 +324,9 @@ fn perfetto_traces_are_identical_across_thread_counts() {
 
 /// Full simnet-layer observables for a seeded random topology under
 /// scheduler `S`: the complete packet trace, the counters JSON, the event
-/// tallies, and the final simulated time.
-fn random_topology_observables<S: Scheduler>(seed: u64) -> (String, String, u64, u64) {
+/// tallies, and the final simulated time. With `lossy` off the trunk never
+/// drops a frame, whatever the seed draws.
+fn random_topology_observables<S: Scheduler>(seed: u64, lossy: bool) -> (String, String, u64, u64) {
     // Derive the topology from the seed so every configuration differs:
     // fan-in, demand, and fault injection all vary.
     let mut rng = Rng::new(seed);
@@ -333,7 +337,7 @@ fn random_topology_observables<S: Scheduler>(seed: u64) -> (String, String, u64,
         ..FabricConfig::default()
     };
     let burst_ms = 0.1 + 0.1 * rng.below(4) as f64;
-    let loss = if rng.chance(0.5) { 0.01 } else { 0.0 };
+    let loss = if rng.chance(0.5) && lossy { 0.01 } else { 0.0 };
 
     let mut f = build_fabric_with::<S>(&fabric_cfg);
     f.sim.link_mut(f.trunk).cfg.loss_probability = loss;
@@ -358,11 +362,10 @@ fn random_topology_observables<S: Scheduler>(seed: u64) -> (String, String, u64,
             ))),
         )),
     );
-    let tracer = Shared::new(TextTracer::new(2_000_000));
-    let handle = tracer.handle();
-    f.sim.set_tracer(Box::new(tracer));
+    let tracer = Rc::new(RefCell::new(TextTracer::new(2_000_000)));
+    f.sim.set_sink(SinkRef::from_rc(tracer.clone()));
     f.sim.run_until(SimTime::from_ms(10));
-    let trace = handle.borrow().render();
+    let trace = tracer.borrow().render();
     let counters = f.sim.counters().to_json();
     let events = f.sim.profile().tallies.total();
     (trace, counters, events, f.sim.now().as_ps())
@@ -371,9 +374,77 @@ fn random_topology_observables<S: Scheduler>(seed: u64) -> (String, String, u64,
 #[test]
 fn wheel_and_heap_trace_identically_on_seeded_random_topologies() {
     for seed in 100..110u64 {
-        let wheel = random_topology_observables::<TimingWheel>(seed);
-        let heap = random_topology_observables::<EventQueue>(seed);
+        let wheel = random_topology_observables::<TimingWheel>(seed, true);
+        let heap = random_topology_observables::<EventQueue>(seed, true);
         assert!(!wheel.0.is_empty(), "empty trace for seed {seed}");
         assert_eq!(wheel, heap, "schedulers diverged on topology seed {seed}");
+    }
+}
+
+/// Extracts, per (link, flow), the sequence of packet descriptors traced
+/// as `what`, in trace order. Trace lines look like:
+/// `   123.456us L3 tx          F2 N0->N5 DATA seq=1446 len=1446`.
+fn per_link_flow_sequences(trace: &str, what: &str) -> BTreeMap<(String, String), Vec<String>> {
+    let mut seqs: BTreeMap<(String, String), Vec<String>> = BTreeMap::new();
+    for line in trace.lines() {
+        let mut it = line.split_whitespace();
+        let _time = it.next();
+        let (Some(link), Some(kind), Some(flow)) = (it.next(), it.next(), it.next()) else {
+            continue;
+        };
+        if kind != what {
+            continue;
+        }
+        let rest: Vec<&str> = it.collect();
+        seqs.entry((link.to_string(), flow.to_string()))
+            .or_default()
+            .push(rest.join(" "));
+    }
+    seqs
+}
+
+/// Asserts the FIFO property of lossless links on one seeded topology
+/// under scheduler `S`: a link delivers exactly the frames it transmits,
+/// in transmission order, and only frames still in flight when the run
+/// cuts off may be missing. So per (link, flow) the delivered sequence is
+/// a prefix of the transmitted one; a reordered, duplicated or lost
+/// delivery breaks the prefix.
+fn assert_per_link_fifo<S: Scheduler>(seed: u64) {
+    let (trace, ..) = random_topology_observables::<S>(seed, false);
+    let tx = per_link_flow_sequences(&trace, "tx");
+    let rx = per_link_flow_sequences(&trace, "rx");
+    let sched = S::NAME;
+    assert!(
+        !tx.is_empty(),
+        "no transmissions traced ({sched}, seed {seed})"
+    );
+    let mut delivered = 0usize;
+    for (key, tx_seq) in &tx {
+        let rx_seq = rx.get(key).map_or(&[][..], Vec::as_slice);
+        assert!(
+            rx_seq.len() <= tx_seq.len() && tx_seq[..rx_seq.len()] == *rx_seq,
+            "per-link delivery order diverged from transmission order \
+             for {key:?} ({sched}, seed {seed}):\n tx: {tx_seq:?}\n rx: {rx_seq:?}"
+        );
+        delivered += rx_seq.len();
+    }
+    // Nothing rx'd that was never tx'd on that link either.
+    for key in rx.keys() {
+        assert!(
+            tx.contains_key(key),
+            "{key:?} delivered frames it never transmitted ({sched}, seed {seed})"
+        );
+    }
+    assert!(
+        delivered > 100,
+        "too little traffic to be meaningful ({sched}, seed {seed})"
+    );
+}
+
+#[test]
+fn wheel_and_heap_preserve_per_link_fifo_order() {
+    for seed in [210u64, 47, 1009] {
+        assert_per_link_fifo::<TimingWheel>(seed);
+        assert_per_link_fifo::<EventQueue>(seed);
     }
 }

@@ -1,15 +1,18 @@
 //! End-to-end packet tracing: the simulator's `tcpdump` attached to a real
-//! incast run, plus the JSONL telemetry export that supersedes it.
+//! incast run as a telemetry sink, plus the JSONL and Perfetto exports.
 
 use incast_bursts::core_api::modes::{run_incast_instrumented, ModesConfig};
 use incast_bursts::simnet::FlowId;
-use incast_bursts::simnet::{build_dumbbell, Shared, SimTime, TextTracer};
+use incast_bursts::simnet::{build_dumbbell, FaultPlan, IncastFabric, SimTime, TextTracer};
 use incast_bursts::stats::Rng;
-use incast_bursts::telemetry::{JsonlSink, PerfettoSink};
+use incast_bursts::telemetry::{JsonlSink, PerfettoSink, SinkRef};
 use incast_bursts::transport::{TcpConfig, TcpHost};
 use incast_bursts::workload::{CyclicCoordinator, IncastConfig, Worker};
+use std::cell::RefCell;
+use std::rc::Rc;
 
-fn run_traced(filter: Option<FlowId>) -> (u64, String) {
+/// A 4-sender dumbbell with a seeded two-burst incast installed.
+fn incast_dumbbell() -> IncastFabric {
     let mut fabric = build_dumbbell(4, 21);
     for (i, &s) in fabric.senders.iter().enumerate() {
         fabric.sim.set_endpoint(
@@ -32,14 +35,24 @@ fn run_traced(filter: Option<FlowId>) -> (u64, String) {
             ))),
         )),
     );
-    let tracer = Shared::new(match filter {
+    fabric
+}
+
+/// Runs `fabric` for 20 ms with `tracer` attached as its sink.
+fn run_with_tracer(fabric: &mut IncastFabric, tracer: TextTracer) -> Rc<RefCell<TextTracer>> {
+    let tracer = Rc::new(RefCell::new(tracer));
+    fabric.sim.set_sink(SinkRef::from_rc(tracer.clone()));
+    fabric.sim.run_until(SimTime::from_ms(20));
+    tracer
+}
+
+fn run_traced(filter: Option<FlowId>) -> (u64, String) {
+    let tracer = match filter {
         Some(f) => TextTracer::for_flow(f, 200_000),
         None => TextTracer::new(200_000),
-    });
-    let handle = tracer.handle();
-    fabric.sim.set_tracer(Box::new(tracer));
-    fabric.sim.run_until(SimTime::from_ms(20));
-    let t = handle.borrow();
+    };
+    let tracer = run_with_tracer(&mut incast_dumbbell(), tracer);
+    let t = tracer.borrow();
     (t.events_seen, t.render())
 }
 
@@ -68,6 +81,28 @@ fn flow_filter_isolates_one_flow() {
     for line in log.lines() {
         assert!(line.contains(" f2 "), "foreign flow in: {line}");
     }
+}
+
+#[test]
+fn tracer_renders_every_wire_drop() {
+    // A loss window then a corruption window on the trunk: every frame the
+    // wire eats must show up as exactly one DROP line of the right cause.
+    let mut fabric = incast_dumbbell();
+    let trunk = fabric.trunk;
+    fabric.sim.set_fault_plan(
+        FaultPlan::new()
+            .lossy_window(trunk, SimTime::from_us(100), SimTime::from_us(500), 0.05)
+            .corrupt_window(trunk, SimTime::from_us(500), SimTime::from_us(900), 0.05),
+    );
+    let tracer = run_with_tracer(&mut fabric, TextTracer::new(200_000));
+    let log = tracer.borrow().render();
+    let lines = |what: &str| log.lines().filter(|l| l.contains(what)).count() as u64;
+    let c = fabric.sim.counters();
+    assert!(c.corrupt_drops > 0, "no frame was corrupted");
+    assert!(c.fault_drops > c.corrupt_drops, "no frame was lost");
+    // `fault_drops` counts corrupted frames too.
+    assert_eq!(lines("DROP(fault)"), c.fault_drops - c.corrupt_drops);
+    assert_eq!(lines("DROP(corrupt)"), c.corrupt_drops);
 }
 
 #[test]
