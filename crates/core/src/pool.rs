@@ -15,10 +15,15 @@
 //! land at their item's index, so output order — and every downstream
 //! aggregate — is independent of thread scheduling.
 //!
-//! The submitter of a [`par_map`-shaped job](JobHandle::participate) always
-//! participates in its own job. That guarantees progress even if every pool
-//! worker is busy with other jobs, which also makes nested submissions
-//! deadlock-free: a job can always be completed by its submitter alone.
+//! The submitter of every job computes in it: `par_map` runs chunks until
+//! none is claimable, and `par_reduce` alternates one chunk
+//! ([`JobHandle::run_chunk`]) with folding the results that have arrived.
+//! A job is therefore submitted with `threads - 1` worker tickets, and the
+//! global pool has one worker fewer than [`crate::runner::default_threads`].
+//! Because [`JobHandle::finish`] also runs whatever is still claimable, a
+//! job can always be completed by its submitter alone: progress never
+//! waits for a free pool worker, which makes nested submissions
+//! deadlock-free.
 //!
 //! # Safety model
 //!
@@ -29,7 +34,11 @@
 //! `remaining` count hits zero, and workers only dereference the context
 //! between claiming an index and decrementing `remaining` for it. After the
 //! final decrement (observed under the `done` mutex), no worker touches the
-//! context again, so it never outlives the submitting stack frame.
+//! context again, so it never outlives the submitting stack frame. Code the
+//! submitter runs between submitting and `finish()` (a reducer's fold) must
+//! not unwind past the handle: the runner catches such a panic,
+//! [cancels](JobHandle::cancel) the job, finishes it, and only then
+//! re-raises.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -219,33 +228,41 @@ impl Job {
         }
     }
 
-    /// Runs claimed items until the job drains. Each claimed index is
-    /// decremented from `remaining` exactly once, whether it ran, panicked,
-    /// or was skipped because an earlier item panicked.
-    fn participate(&self, ordinal: usize) {
-        let preferred = ordinal % self.lanes.len();
-        while let Some((a, b)) = self.claim(preferred) {
-            for i in a..b {
-                if !self.panicked.load(Ordering::Relaxed) {
-                    // The closure runs outside every lock, so our mutexes
-                    // cannot be poisoned by a panicking item.
-                    if let Err(p) =
-                        catch_unwind(AssertUnwindSafe(|| unsafe { (self.run)(self.ctx, i) }))
-                    {
-                        let mut first = self.panic_payload.lock().expect("panic slot");
-                        if first.is_none() {
-                            *first = Some(p);
-                        }
-                        drop(first);
-                        self.panicked.store(true, Ordering::Release);
+    /// Claims one chunk (lane `preferred` first, else stolen) and runs it;
+    /// false once nothing is claimable. Each claimed index is decremented
+    /// from `remaining` exactly once, whether it ran, panicked, or was
+    /// skipped because an earlier item panicked.
+    fn run_chunk(&self, preferred: usize) -> bool {
+        let Some((a, b)) = self.claim(preferred) else {
+            return false;
+        };
+        for i in a..b {
+            if !self.panicked.load(Ordering::Relaxed) {
+                // The closure runs outside every lock, so our mutexes
+                // cannot be poisoned by a panicking item.
+                if let Err(p) =
+                    catch_unwind(AssertUnwindSafe(|| unsafe { (self.run)(self.ctx, i) }))
+                {
+                    let mut first = self.panic_payload.lock().expect("panic slot");
+                    if first.is_none() {
+                        *first = Some(p);
                     }
-                }
-                if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    *self.done.lock().expect("done latch") = true;
-                    self.done_cv.notify_all();
+                    drop(first);
+                    self.panicked.store(true, Ordering::Release);
                 }
             }
+            if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                *self.done.lock().expect("done latch") = true;
+                self.done_cv.notify_all();
+            }
         }
+        true
+    }
+
+    /// Runs claimed chunks until the job drains.
+    fn participate(&self, ordinal: usize) {
+        let preferred = ordinal % self.lanes.len();
+        while self.run_chunk(preferred) {}
     }
 
     fn is_done(&self) -> bool {
@@ -267,13 +284,19 @@ pub(crate) struct JobHandle {
     job: Arc<Job>,
 }
 
+// The submitter works as ordinal 0: tickets count down from `workers`, so
+// lane 0 is the one no worker prefers first.
 impl JobHandle {
-    /// The submitter works on its own job until no chunk is claimable.
-    pub(crate) fn participate(&self) {
-        // Ordinal 0: tickets count down from `workers`, so lane 0 is the
-        // one no worker prefers first.
-        PARTICIPANTS.fetch_add(1, Ordering::Relaxed);
-        self.job.participate(0);
+    /// The submitter runs one chunk of its own job; false once nothing is
+    /// claimable. Lets a caller interleave computing with consuming
+    /// results.
+    pub(crate) fn run_chunk(&self) -> bool {
+        self.job.run_chunk(0)
+    }
+
+    /// Makes every item not yet claimed a skip, as after a panicking item.
+    pub(crate) fn cancel(&self) {
+        self.job.panicked.store(true, Ordering::Release);
     }
 
     /// True once every item has been run or skipped.
@@ -281,9 +304,11 @@ impl JobHandle {
         self.job.is_done()
     }
 
-    /// Blocks until the job completes, detaches it from the pool queue, and
-    /// returns the first panic payload, if any item panicked.
+    /// Runs whatever is still claimable on the caller, blocks until the job
+    /// completes, detaches it from the pool queue, and returns the first
+    /// panic payload, if any item panicked.
     pub(crate) fn finish(self) -> Option<Box<dyn Any + Send>> {
+        self.job.participate(0);
         self.job.wait();
         SweepPool::global().retire(&self.job);
         self.job.panic_payload.lock().expect("panic slot").take()
@@ -302,11 +327,12 @@ struct PoolInner {
 }
 
 impl SweepPool {
-    /// The global pool, spawned on first use with
-    /// [`crate::runner::default_threads`] workers.
+    /// The global pool, spawned on first use with one worker fewer than
+    /// [`crate::runner::default_threads`] (at least one): every submitter
+    /// computes in its own job, so it fills the remaining core.
     pub fn global() -> &'static SweepPool {
         static POOL: OnceLock<SweepPool> = OnceLock::new();
-        POOL.get_or_init(|| SweepPool::with_workers(crate::runner::default_threads()))
+        POOL.get_or_init(|| SweepPool::with_workers(crate::runner::default_threads() - 1))
     }
 
     /// Number of worker threads (excluding submitters).
@@ -330,8 +356,9 @@ impl SweepPool {
         Self { inner, workers }
     }
 
-    /// Submits a job over `n` items. Up to `workers` pool threads join in;
-    /// the caller decides whether to also participate before `finish()`.
+    /// Submits a job over `n` items split into `participants` lanes. Up to
+    /// `workers` pool threads join in; the caller works lane 0 through
+    /// [`JobHandle::run_chunk`] and [`JobHandle::finish`].
     ///
     /// # Safety
     /// `ctx` must stay valid until `finish()` returns on the handle, and
@@ -347,6 +374,8 @@ impl SweepPool {
         debug_assert!(n > 0 && participants > 0);
         JOBS.fetch_add(1, Ordering::Relaxed);
         ITEMS.fetch_add(n as u64, Ordering::Relaxed);
+        // The submitter always works on its own job.
+        PARTICIPANTS.fetch_add(1, Ordering::Relaxed);
         let lanes = participants.min(n);
         let per = n / lanes;
         let extra = n % lanes;

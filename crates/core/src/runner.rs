@@ -11,6 +11,11 @@
 //! folded into an accumulator *in item-index order* as they arrive, so
 //! sweep reducers consume summaries incrementally instead of materializing
 //! the whole result vector first.
+//!
+//! In both, the calling thread is one of the `threads` participants and
+//! computes items itself (`par_reduce` alternates computing one chunk with
+//! folding), so `threads = 2` on a two-core machine runs two simulations
+//! at once, and a sweep never waits for a free pool worker.
 
 use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
@@ -137,7 +142,7 @@ where
             threads,
         )
     };
-    handle.participate();
+    // `finish()` runs the caller's share of the items before it blocks.
     if let Some(p) = handle.finish() {
         // Drop whatever results landed before the panic, then re-raise.
         for s in &slots {
@@ -179,15 +184,17 @@ unsafe fn reduce_one<T: Debug, R, F: Fn(&T) -> R>(ctx: *const (), i: usize) {
     ctx.chan.cv.notify_one();
 }
 
-/// Streaming map-reduce: `map` runs on pool workers, and the calling thread
-/// folds each result into `acc` strictly in item-index order as results
-/// arrive (a small reorder buffer bridges out-of-order completion). The
-/// fixed fold order makes the accumulator byte-identical across thread
-/// counts, while memory stays at `O(in-flight results)` instead of
-/// `O(items)`.
+/// Streaming map-reduce: `map` runs on up to `threads` participants (the
+/// calling thread plus pool workers), and the calling thread folds each
+/// result into `acc` strictly in item-index order as results arrive (a
+/// small reorder buffer bridges out-of-order completion). The fixed fold
+/// order makes the accumulator byte-identical across thread counts, while
+/// memory stays at `O(in-flight results)` instead of `O(items)`.
 ///
 /// With `threads <= 1` the whole reduction runs inline on the caller.
-/// Panics from `map` re-raise their original payload on the caller.
+/// Panics from `map` re-raise their original payload on the caller; a
+/// panic from `fold` re-raises once every in-flight `map` call has
+/// returned.
 pub fn par_reduce<T, R, A, F, G>(items: Vec<T>, threads: usize, map: F, init: A, mut fold: G) -> A
 where
     T: Send + Sync + Debug,
@@ -218,65 +225,76 @@ where
         chan: &chan,
     };
     // Safety: `ctx` outlives `finish()`, and the channel push is the only
-    // shared write (guarded by its mutex). All `threads` participants are
-    // pool workers; the caller folds instead of computing, so progress
-    // relies on the pool's >= 1 worker threads.
+    // shared write (guarded by its mutex). The fold below runs under
+    // `catch_unwind`, so even a panicking fold reaches `finish()` before
+    // `ctx` and `chan` go out of scope.
     let handle = unsafe {
         SweepPool::global().submit(
             reduce_one::<T, R, F> as Trampoline,
             &ctx as *const ReduceCtx<'_, T, R, F> as *const (),
             n,
-            threads,
+            threads - 1,
             threads,
         )
     };
-    let mut acc = init;
-    let mut reorder: BTreeMap<usize, R> = BTreeMap::new();
-    let mut next = 0usize;
-    let mut received = 0usize;
-    while received < n {
-        let batch = {
-            let mut q = chan.q.lock().expect("reduce channel");
-            loop {
-                if !q.is_empty() {
-                    break std::mem::take(&mut *q);
+    let folded = catch_unwind(AssertUnwindSafe(|| {
+        let mut acc = init;
+        let mut reorder: BTreeMap<usize, R> = BTreeMap::new();
+        let mut next = 0usize;
+        let mut computing = true;
+        while next < n {
+            // Compute one chunk, then fold what has arrived; once nothing is
+            // claimable, block on the workers' results instead.
+            computing = computing && handle.run_chunk();
+            let batch = {
+                let mut q = chan.q.lock().expect("reduce channel");
+                loop {
+                    if !q.is_empty() || computing {
+                        break std::mem::take(&mut *q);
+                    }
+                    // `is_done` while holding the channel lock: sends happen
+                    // before their item's completion decrement, so done +
+                    // empty means no further sends can arrive (items were
+                    // skipped after a panic).
+                    if handle.is_done() {
+                        return acc;
+                    }
+                    let (g, _) = chan
+                        .cv
+                        .wait_timeout(q, Duration::from_millis(10))
+                        .expect("reduce channel");
+                    q = g;
                 }
-                // `is_done` while holding the channel lock: sends happen
-                // before their item's completion decrement, so done + empty
-                // means no further sends can arrive (items were skipped
-                // after a panic).
-                if handle.is_done() {
-                    break Vec::new();
-                }
-                let (g, _) = chan
-                    .cv
-                    .wait_timeout(q, Duration::from_millis(10))
-                    .expect("reduce channel");
-                q = g;
+            };
+            for (i, r) in batch {
+                reorder.insert(i, r);
             }
-        };
-        if batch.is_empty() {
-            break;
+            while let Some(r) = reorder.remove(&next) {
+                acc = fold(acc, &items[next], r);
+                next += 1;
+            }
         }
-        received += batch.len();
-        for (i, r) in batch {
-            reorder.insert(i, r);
+        acc
+    }));
+    match folded {
+        Ok(acc) => {
+            if let Some(p) = handle.finish() {
+                resume_unwind(p);
+            }
+            acc
         }
-        while let Some(r) = reorder.remove(&next) {
-            acc = fold(acc, &items[next], r);
-            next += 1;
+        Err(p) => {
+            handle.cancel();
+            drop(handle.finish());
+            resume_unwind(p)
         }
     }
-    if let Some(p) = handle.finish() {
-        resume_unwind(p);
-    }
-    acc
 }
 
-/// A default thread count: available parallelism minus one, at least one.
+/// A default thread count: the available parallelism, at least one.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
-        .map(|n| n.get().saturating_sub(1).max(1))
+        .map(|n| n.get())
         .unwrap_or(4)
 }
 
@@ -497,6 +515,73 @@ mod tests {
         let payload = result.expect_err("par_reduce must panic");
         let msg = payload.downcast_ref::<String>().expect("payload lost");
         assert_eq!(msg, "sweep item 9 (9): reduce boom 9");
+    }
+
+    #[test]
+    fn par_reduce_fold_panic_waits_for_in_flight_maps() {
+        use std::sync::atomic::AtomicUsize;
+        // The fold panics on item 0 while `map` is still running on another
+        // item: the panic may only reach the caller once no `map` call can
+        // touch the reducer's stack any more.
+        static IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
+        static FOLD_PANICKED: AtomicBool = AtomicBool::new(false);
+        // Bounded spin, so a busy pool (no free worker) cannot hang the test.
+        let wait_for = |cond: &dyn Fn() -> bool| {
+            let t0 = std::time::Instant::now();
+            while !cond() && t0.elapsed() < Duration::from_secs(1) {
+                std::thread::yield_now();
+            }
+        };
+        let result = std::panic::catch_unwind(|| {
+            par_reduce(
+                (0..8u64).collect::<Vec<_>>(),
+                4,
+                |&x| {
+                    IN_FLIGHT.fetch_add(1, Ordering::SeqCst);
+                    if x == 0 {
+                        // Hold item 0, and so the fold, back until another
+                        // item is in flight.
+                        wait_for(&|| IN_FLIGHT.load(Ordering::SeqCst) >= 2);
+                    } else {
+                        // Stay in flight past the fold's panic.
+                        wait_for(&|| FOLD_PANICKED.load(Ordering::SeqCst));
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                    IN_FLIGHT.fetch_sub(1, Ordering::SeqCst);
+                    x
+                },
+                0u64,
+                |_, &i, _| -> u64 {
+                    FOLD_PANICKED.store(true, Ordering::SeqCst);
+                    panic!("fold boom on {i}")
+                },
+            )
+        });
+        let in_flight = IN_FLIGHT.load(Ordering::SeqCst);
+        let payload = result.expect_err("par_reduce must panic");
+        let msg = payload.downcast_ref::<String>().expect("payload lost");
+        assert_eq!(msg, "fold boom on 0");
+        assert_eq!(in_flight, 0, "map calls still running after the fold panic");
+        let out = par_map((0..16u64).collect::<Vec<_>>(), 4, |&x| x + 1);
+        assert_eq!(out[15], 16);
+    }
+
+    #[test]
+    fn nested_par_reduce_inside_par_map_does_not_deadlock() {
+        // Every thread may end up submitting an inner reduction while no
+        // pool worker is free; the submitters compute, so all complete.
+        let out = par_map((0..4u64).collect::<Vec<_>>(), 2, |&x| {
+            par_reduce(
+                (0..4u64).collect::<Vec<_>>(),
+                2,
+                |&y| x * 10 + y,
+                0u64,
+                |a, _, r| a + r,
+            )
+        });
+        for (i, v) in out.iter().enumerate() {
+            assert_eq!(*v, (0..4).map(|y| i as u64 * 10 + y).sum::<u64>());
+        }
     }
 
     #[test]

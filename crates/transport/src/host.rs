@@ -16,14 +16,17 @@ use telemetry::SinkRef;
 
 /// Dense connection table indexed directly by flow id.
 ///
-/// Workloads assign flows small consecutive ids, so the per-packet demux
-/// is an array index instead of a hash-map probe. Iteration runs in
-/// ascending flow-id order — deterministic, unlike the `HashMap` this
-/// replaced (no caller depended on that order, but determinism by
-/// construction beats determinism by accident).
+/// The per-packet demux is an array index instead of a hash-map probe.
+/// Flow ids are global to a run, so a host's table spans every id up to
+/// the highest it has opened, most of them empty: a worker that opens only
+/// flow 100 000 holds 100 001 slots. A slot is one pointer (8 B), not an
+/// inline `Sender` (312 B) or `Receiver` (160 B); each connection is
+/// boxed once when it opens, never on the packet path.
+/// Iteration runs in ascending flow-id order — deterministic, unlike the
+/// `HashMap` this replaced.
 #[derive(Debug)]
 pub struct FlowTable<T> {
-    slots: Vec<Option<T>>,
+    slots: Vec<Option<Box<T>>>,
     len: usize,
 }
 
@@ -47,11 +50,11 @@ impl<T> FlowTable<T> {
 
     /// The connection for `flow`, if open.
     pub fn get(&self, flow: FlowId) -> Option<&T> {
-        self.slots.get(flow.0 as usize).and_then(Option::as_ref)
+        self.slots.get(flow.0 as usize)?.as_deref()
     }
 
     fn get_mut(&mut self, flow: FlowId) -> Option<&mut T> {
-        self.slots.get_mut(flow.0 as usize).and_then(Option::as_mut)
+        self.slots.get_mut(flow.0 as usize)?.as_deref_mut()
     }
 
     fn get_or_insert_with(&mut self, flow: FlowId, make: impl FnOnce() -> T) -> &mut T {
@@ -61,10 +64,10 @@ impl<T> FlowTable<T> {
         }
         let slot = &mut self.slots[i];
         if slot.is_none() {
-            *slot = Some(make());
+            *slot = Some(Box::new(make()));
             self.len += 1;
         }
-        slot.as_mut().expect("slot just filled")
+        slot.as_deref_mut().expect("slot just filled")
     }
 
     /// Iterates open connections in ascending flow-id order.
@@ -72,14 +75,14 @@ impl<T> FlowTable<T> {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|t| (FlowId(i as u32), t)))
+            .filter_map(|(i, s)| s.as_deref().map(|t| (FlowId(i as u32), t)))
     }
 
     fn iter_mut(&mut self) -> impl Iterator<Item = (FlowId, &mut T)> {
         self.slots
             .iter_mut()
             .enumerate()
-            .filter_map(|(i, s)| s.as_mut().map(|t| (FlowId(i as u32), t)))
+            .filter_map(|(i, s)| s.as_deref_mut().map(|t| (FlowId(i as u32), t)))
     }
 }
 
@@ -638,5 +641,24 @@ mod tests {
         for line in out.lines() {
             assert!(line.contains(r#""ev":"flow_window""#), "{line}");
         }
+    }
+
+    #[test]
+    fn flow_table_iterates_in_flow_id_order_whatever_the_open_order() {
+        let mut t = FlowTable::new();
+        for id in [900u32, 3, 41, 0, 7] {
+            t.get_or_insert_with(FlowId(id), || id * 10);
+        }
+        // Reopening keeps the first value and the count.
+        t.get_or_insert_with(FlowId(41), || 0);
+        assert_eq!(t.len(), 5);
+        let seen: Vec<(u32, u32)> = t.iter().map(|(f, &v)| (f.0, v)).collect();
+        assert_eq!(seen, vec![(0, 0), (3, 30), (7, 70), (41, 410), (900, 9000)]);
+        *t.get_mut(FlowId(7)).unwrap() += 1;
+        let ids: Vec<u32> = t.iter_mut().map(|(f, _)| f.0).collect();
+        assert_eq!(ids, vec![0, 3, 7, 41, 900]);
+        assert_eq!(t.get(FlowId(7)), Some(&71));
+        assert_eq!(t.get(FlowId(8)), None);
+        assert_eq!(t.get(FlowId(5000)), None);
     }
 }
